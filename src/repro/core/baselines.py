@@ -1,29 +1,32 @@
 """Non-TPLM baseline: Random Forest + learner-aware QBC (§4.3).
 
-AL loop over the Rules candidate set: each round trains a bootstrap-
-bagged forest on the labeled pairs, scores every candidate pair with
-all trees in a distributed ``mapInPandas`` (featurizer + tree arrays
-broadcast — committee scoring as a UDF over partitioned pairs), and
-queries the B pairs with the highest bootstrap vote variance
+``run_rf_qbc`` runs the shared AL loop (``dial._run_loop``) with a
+forest learner on the fixed Rules candidate set: each round trains a
+bootstrap-bagged forest on the labeled pairs, scores every candidate
+pair with all trees in a distributed ``mapInPandas`` (featurizer + tree
+arrays broadcast — committee scoring as a UDF over partitioned pairs),
+and queries the B pairs with the highest bootstrap vote variance
 (Mozafari et al.). Final verdict: forest probability > 0.5 on CAND.
+The TPLM-style blocking baselines (PairedFixed, PairedAdapt,
+SentenceBERT, Rules) are CAND sources of ``dial.run_al``.
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import replace
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.core.dial import ALConfig, ALResult, _seed_labeled
+from repro.core.dial import ALConfig, ALResult, _run_loop, given_cand
 from repro.core.encoders import EmbeddingStore
-from repro.core.evaluate import all_pairs_prf, blocker_recall, test_prf
-from repro.core.labeler import label_pairs
+# Unused here since the loop moved to dial.py; kept as module attributes
+# because callers that trace this module's evaluation calls patch them.
+from repro.core.evaluate import all_pairs_prf, blocker_recall, test_prf  # noqa: F401
 from repro.forest.features import PairFeaturizer
 from repro.forest.forest import RandomForest, forest_proba, forest_vote_variance
+
+N_TREES = 20  # forest size of the QBC committee
 
 _SCHEMA = T.StructType(
     [
@@ -60,6 +63,33 @@ def score_forest(
     return pairs.select("rid_r", "rid_s").repartition(n_part).mapInPandas(part, _SCHEMA)
 
 
+class _ForestLearner:
+    """RF-QBC's learner: a fresh forest each round, scored distributed;
+    selection by vote variance over the scored pairs themselves (a stable
+    sort, so the scored frame's row order breaks ties)."""
+
+    def __init__(self, spark: SparkSession, ds, store: EmbeddingStore, cfg: ALConfig):
+        self.spark, self.cfg = spark, cfg
+        self.featurizer = PairFeaturizer(
+            ds.r_pdf, ds.s_pdf, store.r_emb, store.s_emb, store.r_index, store.s_index
+        )
+
+    def fit(self, T_lab: pd.DataFrame, rnd: int) -> None:
+        forest = RandomForest(n_trees=N_TREES, seed=self.cfg.seed * 100 + rnd)
+        self.trees = forest.fit(self.featurizer(T_lab), T_lab.label.to_numpy()).trees
+
+    def score(self, pairs: DataFrame) -> DataFrame:
+        return score_forest(self.spark, pairs, self.featurizer, self.trees)
+
+    def frame(self, cand: DataFrame, scored: DataFrame) -> pd.DataFrame:
+        return scored.toPandas()
+
+    def select(self, selectable: pd.DataFrame, T_lab, cand, rng) -> pd.DataFrame:
+        return selectable.sort_values("variance", ascending=False, kind="stable").head(
+            self.cfg.budget
+        )
+
+
 def run_rf_qbc(
     spark: SparkSession,
     ds,
@@ -67,74 +97,9 @@ def run_rf_qbc(
     rules_cand_df: DataFrame,
     *,
     store: EmbeddingStore | None = None,
-    n_trees: int = 20,
 ) -> ALResult:
     """Random-Forest AL with QBC selection on the Rules candidate set."""
-    rng = np.random.default_rng(cfg.seed * 7 + 13)
     if store is None:
         store = EmbeddingStore(spark, ds, cfg.d)
-    featurizer = PairFeaturizer(
-        ds.r_pdf, ds.s_pdf, store.r_emb, store.s_emb, store.r_index, store.s_index
-    )
-    cand = rules_cand_df.cache()
-    cand.count()
-    dup_set = ds.dup_set
-    test_keys = set(zip(ds.test_pdf.rid_r, ds.test_pdf.rid_s))
-    T_lab = _seed_labeled(ds, cfg, rng)
-
-    result = ALResult(config={**cfg.__dict__, "blocking": "rf_qbc"}, dataset=ds.name)
-    for rnd in range(cfg.rounds):
-        times: dict[str, float] = {}
-        t0 = time.perf_counter()
-        forest = RandomForest(n_trees=n_trees, seed=cfg.seed * 100 + rnd).fit(
-            featurizer(T_lab), T_lab.label.to_numpy()
-        )
-        times["train_matcher"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        scored = score_forest(spark, cand, featurizer, forest.trees).cache()
-        scored.count()
-        times["match_cand"] = time.perf_counter() - t0
-
-        cand_rec = blocker_recall(cand, ds.dups)
-        ap = all_pairs_prf(scored, ds.dups)
-        scored_test = score_forest(spark, ds.test, featurizer, forest.trees)
-        tp = test_prf(ds.test, cand, scored_test, threshold=0.5)
-
-        t0 = time.perf_counter()
-        pdf = scored.toPandas()
-        labeled_keys = set(zip(T_lab.rid_r, T_lab.rid_s))
-        mask = [
-            (r, s) not in test_keys and (r, s) not in labeled_keys
-            for r, s in zip(pdf.rid_r, pdf.rid_s)
-        ]
-        sel = pdf[mask].sort_values("variance", ascending=False, kind="stable").head(
-            cfg.budget
-        )
-        times["selection"] = time.perf_counter() - t0
-
-        T_lab = pd.concat(
-            [T_lab, label_pairs(sel, dup_set)], ignore_index=True
-        ).drop_duplicates(["rid_r", "rid_s"], keep="first")
-
-        result.history.append(
-            {
-                "round": rnd,
-                "n_labeled": int(len(T_lab)),
-                "cand_recall": cand_rec,
-                "test": tp,
-                "all_pairs": ap,
-                "times": times,
-            }
-        )
-        result.timings = times
-        result.final = {
-            "cand_recall": cand_rec,
-            "test": tp,
-            "all_pairs": ap,
-            "rt_seconds": times["match_cand"],
-            "n_labeled": int(len(T_lab)),
-        }
-        scored.unpersist()
-    cand.unpersist()
-    return result
+    learner = _ForestLearner(spark, ds, store, cfg)
+    return _run_loop(ds, replace(cfg, blocking="rf_qbc"), learner, given_cand(rules_cand_df))

@@ -1,22 +1,24 @@
 """Algorithm 1: the integrated active-learning loop.
 
 ``run_al(spark, ds, cfg)`` runs the full loop and returns per-round
-metrics plus per-operation timings. The ``blocking`` field of the
-config selects between DIAL's learned committee blocker and the
-baseline blocking strategies of §4.3, which share everything else
-(matcher, selector, labeler, evaluation) exactly as in the paper:
+metrics plus per-operation timings. ``_run_loop`` is the repo's only AL
+loop: DIAL, the blocking baselines of §4.3 and the RF-QBC baseline
+(``baselines.run_rf_qbc``) differ only in their learner and their CAND
+source, and share the selector, labeler and evaluation exactly as in
+the paper. The ``blocking`` field of the config picks the CAND source:
 
 - ``dial``          — IBC committee over matcher-adapted embeddings
-- ``paired_fixed``  — index the frozen pretrained embeddings (computed once)
+- ``paired_fixed``  — index the frozen pretrained embeddings (built once)
 - ``paired_adapt``  — index the matcher-adapted embeddings of this round
 - ``sentencebert``  — siamese head fine-tuned on T with classification
                       loss (DITTO's "advanced blocking", learned each round)
 - ``rules``         — fixed hand-crafted-rules candidate set
 
-Each round: train matcher on T (Eq 6) → build blocker → retrieve CAND
-(distributed k-NN) → score CAND (distributed paired-mode UDF) → evaluate
-→ select B pairs (excluding D_test and already-labeled) → oracle labels
-→ augment T. No warm start between rounds (§4.2).
+Each round: fit the learner on T (the matcher ensemble, Eq 6) → this
+round's CAND from the source (distributed k-NN for the indexed modes) →
+score CAND (distributed paired-mode UDF) → evaluate → select B pairs
+(excluding D_test and already-labeled) → oracle labels → augment T. No
+warm start between rounds (§4.2).
 """
 from __future__ import annotations
 
@@ -34,6 +36,9 @@ from repro.core.ibc import cand_size_for, knn_k_for, l2_normalize, retrieve_cand
 from repro.core.labeler import label_pairs
 from repro.core.matcher import Matcher, pair_align_features, score_pairs
 from repro.core.selectors import select
+from repro.linalg.autograd import Tensor, const, param
+from repro.linalg.losses import bce_with_logits
+from repro.linalg.optim import AdamW
 
 BLOCKING_MODES = ("dial", "paired_fixed", "paired_adapt", "sentencebert", "rules")
 
@@ -88,19 +93,13 @@ class _SBertBlocker:
     its blocking recall disappoints (§4.4)."""
 
     def __init__(self, d: int, seed: int = 0):
-        from repro.linalg.autograd import Tensor, const, param
-        from repro.linalg.losses import bce_with_logits
-        from repro.linalg.optim import AdamW
-
         rng = np.random.default_rng(seed * 17 + 3)
         self.d = d
         self.B = param(np.eye(d) + (0.1 / np.sqrt(d)) * rng.standard_normal((d, d)))
         self.w = param(rng.standard_normal((3 * d, 1)) * np.sqrt(1.0 / (3 * d)))
         self.b = param(np.zeros(1))
-        self._mods = (Tensor, const, param, bce_with_logits, AdamW)
 
     def fit(self, er, es, labels, *, epochs=15, batch_size=16, lr=3e-3, seed=0):
-        Tensor, const, _, bce, AdamW = self._mods
         n = len(labels)
         opt = AdamW(
             [([self.B], 3e-4), ([self.w, self.b], lr)],
@@ -115,7 +114,7 @@ class _SBertBlocker:
                 v = const(es[idx]) @ self.B
                 f = Tensor.concat([u, v, (u - v).abs()], axis=1)
                 logits = (f @ self.w + self.b).reshape(-1)
-                loss = bce(logits, labels[idx])
+                loss = bce_with_logits(logits, labels[idx])
                 opt.zero_grad()
                 loss.backward()
                 opt.step()
@@ -131,15 +130,20 @@ def _seed_labeled(ds, cfg: ALConfig, rng) -> pd.DataFrame:
     n_pos = min(cfg.seed_pos, len(pos_pool))
     pos = pos_pool.iloc[rng.permutation(len(pos_pool))[:n_pos]].assign(label=1)
     if len(neg_pool) == 0:
-        # fall back to random non-duplicate pairs
+        # fall back to distinct random non-duplicate pairs
         dup_set = ds.dup_set
-        rows = []
+        n_free = len(ds.r_pdf) * len(ds.s_pdf) - len(dup_set)
+        if n_free < cfg.seed_neg:
+            raise ValueError(
+                f"seed_neg={cfg.seed_neg} but only {n_free} non-duplicate pairs exist"
+            )
+        rows: dict[tuple, None] = {}  # insertion-ordered set
         while len(rows) < cfg.seed_neg:
             r = ds.r_pdf.rid.iloc[int(rng.integers(len(ds.r_pdf)))]
             s = ds.s_pdf.rid.iloc[int(rng.integers(len(ds.s_pdf)))]
             if (r, s) not in dup_set:
-                rows.append((r, s))
-        neg = pd.DataFrame(rows, columns=["rid_r", "rid_s"]).assign(label=0)
+                rows[(r, s)] = None
+        neg = pd.DataFrame(list(rows), columns=["rid_r", "rid_s"]).assign(label=0)
     else:
         n_neg = min(cfg.seed_neg, len(neg_pool))
         neg = neg_pool.iloc[rng.permutation(len(neg_pool))[:n_neg]].assign(label=0)
@@ -176,7 +180,7 @@ def _train_matcher(store, T: pd.DataFrame, cfg: ALConfig, rnd: int) -> list[Matc
 
 
 def _member_embeddings(
-    spark, store, matcher, T, cfg: ALConfig, rnd: int
+    store, matcher, T, cfg: ALConfig, rnd: int
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-member embedding matrices of R and S for this round's blocking
     mode. Single-member list for the non-committee baselines."""
@@ -206,15 +210,11 @@ def _member_embeddings(
     )
     Tp = T[T.label == 1]
     Tn = T[T.label == 0]
-    zp_r = matcher.transform(store.r_emb[[store.r_index[r] for r in Tp.rid_r]])
-    zp_s = matcher.transform(store.s_emb[[store.s_index[s] for s in Tp.rid_s]])
     neg_pairs = None
     if cfg.blocker_negatives == "labeled" and len(Tn):
-        zn_r = matcher.transform(store.r_emb[[store.r_index[r] for r in Tn.rid_r]])
-        zn_s = matcher.transform(store.s_emb[[store.s_index[s] for s in Tn.rid_s]])
-        neg_pairs = (zn_r, zn_s)
+        neg_pairs = tuple(matcher.transform(e) for e in store.pair_embs(Tn))
     blocker.fit(
-        (zp_r, zp_s), z_r, z_s,
+        tuple(matcher.transform(e) for e in store.pair_embs(Tp)), z_r, z_s,
         neg_pairs=neg_pairs,
         objective=cfg.blocker_objective,
         negatives=cfg.blocker_negatives,
@@ -229,6 +229,138 @@ def _member_embeddings(
     )
 
 
+class CandSource:
+    """Each round's CAND. ``embed(T, rnd)`` (timed as ``train_committee``;
+    none for a given candidate set) feeds ``retrieve``, whose DataFrame
+    is cached and counted under the ``index_retrieval`` timer. A fixed
+    source builds once and returns that CAND every later round; an
+    adaptive one drops last round's CAND when it builds the next.
+    ``close()`` unpersists only what the source cached itself.
+    """
+
+    def __init__(self, retrieve, embed=None, *, fixed: bool):
+        self._retrieve, self._embed, self._fixed = retrieve, embed, fixed
+        self._cand: DataFrame | None = None  # the fixed CAND, once built
+        self._owned: list[DataFrame] = []
+
+    def __call__(self, T: pd.DataFrame, rnd: int, times: dict) -> DataFrame:
+        if self._cand is not None:
+            times["train_committee"] = times["index_retrieval"] = 0.0
+            return self._cand
+        self.close()
+        t0 = time.perf_counter()
+        embedded = self._embed(T, rnd) if self._embed else None
+        times["train_committee"] = time.perf_counter() - t0 if self._embed else 0.0
+        t0 = time.perf_counter()
+        cand = self._retrieve(embedded)
+        if not cand.is_cached:
+            cand = cand.cache()
+            self._owned.append(cand)
+        cand.count()  # materialize under the retrieval timer
+        times["index_retrieval"] = time.perf_counter() - t0
+        if self._fixed:
+            self._cand = cand
+        return cand
+
+    def close(self) -> None:
+        for df in self._owned:
+            df.unpersist()
+        self._owned.clear()
+
+
+def given_cand(cand: DataFrame) -> CandSource:
+    """A fixed, precomputed candidate set (the Rules CAND)."""
+    return CandSource(lambda _: cand, fixed=True)
+
+
+class _MatcherLearner:
+    """DIAL's learner: a fresh matcher ensemble each round (Eq 6) whose
+    averaged probability scores pairs in a distributed UDF; selection by
+    ``cfg.selector`` over CAND joined with its scores."""
+
+    def __init__(self, spark: SparkSession, store: EmbeddingStore, cfg: ALConfig):
+        self.spark, self.store, self.cfg = spark, store, cfg
+
+    def fit(self, T: pd.DataFrame, rnd: int) -> None:
+        self.matchers = _train_matcher(self.store, T, self.cfg, rnd)
+        self.params = [m.params() for m in self.matchers]
+
+    def score(self, pairs: DataFrame) -> DataFrame:
+        return score_pairs(self.spark, pairs, self.store, self.params, average=True)
+
+    def frame(self, cand: DataFrame, scored: DataFrame) -> pd.DataFrame:
+        return cand.join(scored, ["rid_r", "rid_s"], "inner").toPandas()
+
+    def select(self, selectable: pd.DataFrame, T, cand: DataFrame, rng) -> pd.DataFrame:
+        cfg = self.cfg
+        return select(
+            cfg.selector, selectable, cfg.budget, rng,
+            spark=self.spark, store=self.store, cand_df=cand,
+            labeled=T, matcher_params=self.params[0],
+            matcher_kwargs=dict(epochs=max(5, cfg.matcher_epochs // 2), batch_size=cfg.batch_size),
+        )
+
+
+def _run_loop(ds, cfg: ALConfig, learner, source: CandSource) -> ALResult:
+    """The AL loop shared by every method; ``learner`` provides
+    ``fit(T, rnd)``, ``score(pairs) → DataFrame(rid_r, rid_s, prob, …)``,
+    ``frame(cand, scored) → pandas`` (the pairs to select from) and
+    ``select(selectable, T, cand, rng)``."""
+    rng = np.random.default_rng(cfg.seed * 7 + 13)
+    dup_set = ds.dup_set
+    test_keys = set(zip(ds.test_pdf.rid_r, ds.test_pdf.rid_s))
+    T = _seed_labeled(ds, cfg, rng)
+    result = ALResult(config=asdict(cfg), dataset=ds.name)
+
+    try:
+        for rnd in range(cfg.rounds):
+            times: dict[str, float] = {}
+
+            t0 = time.perf_counter()
+            learner.fit(T, rnd)
+            times["train_matcher"] = time.perf_counter() - t0
+
+            cand = source(T, rnd, times)  # blocker + retrieval
+
+            # distributed scoring of CAND (the "matching" half of RT)
+            t0 = time.perf_counter()
+            scored = learner.score(cand).cache()
+            scored.count()
+            times["match_cand"] = time.perf_counter() - t0
+
+            # evaluation (§4.1)
+            quality = {
+                "cand_recall": blocker_recall(cand, ds.dups),
+                "all_pairs": all_pairs_prf(scored, ds.dups),
+                "test": test_prf(ds.test, cand, learner.score(ds.test), threshold=0.5),
+            }
+
+            # selection
+            t0 = time.perf_counter()
+            pool = learner.frame(cand, scored)
+            labeled_keys = set(zip(T.rid_r, T.rid_s))
+            mask = [
+                (r, s) not in test_keys and (r, s) not in labeled_keys
+                for r, s in zip(pool.rid_r, pool.rid_s)
+            ]
+            chosen = learner.select(pool[mask].reset_index(drop=True), T, cand, rng)
+            times["selection"] = time.perf_counter() - t0
+
+            T = pd.concat([T, label_pairs(chosen, dup_set)], ignore_index=True)
+            T = T.drop_duplicates(["rid_r", "rid_s"], keep="first")
+            n_labeled = int(len(T))
+            result.history.append({"round": rnd, "n_labeled": n_labeled, **quality,
+                                   "cand_size": int(len(pool)), "times": times})
+            result.timings = times
+            # RT of Table 2/10: blocking + matching time for the final verdict
+            rt = times["index_retrieval"] + times["match_cand"]
+            result.final = {**quality, "rt_seconds": rt, "n_labeled": n_labeled}
+            scored.unpersist()
+    finally:
+        source.close()
+    return result
+
+
 def run_al(
     spark: SparkSession,
     ds,
@@ -241,118 +373,19 @@ def run_al(
     ``blocking='rules'``) ``rules_cand`` can be passed in to share work
     across the many configurations the tables sweep."""
     assert cfg.blocking in BLOCKING_MODES, cfg.blocking
-    rng = np.random.default_rng(cfg.seed * 7 + 13)
     if store is None:
         store = EmbeddingStore(spark, ds, cfg.d)
+    learner = _MatcherLearner(spark, store, cfg)
     if cfg.blocking == "rules":
         assert rules_cand is not None, "rules blocking needs a rules_cand DataFrame"
-        rules_cand = rules_cand.cache()
-        rules_cand.count()
-
-    dup_set = ds.dup_set
-    test_keys = set(zip(ds.test_pdf.rid_r, ds.test_pdf.rid_s))
-    T = _seed_labeled(ds, cfg, rng)
-    cand_size = _resolve_cand_size(cfg, ds)
-    k = cfg.knn_k if cfg.knn_k is not None else knn_k_for(ds.name)
-
-    result = ALResult(config=asdict(cfg), dataset=ds.name)
-    fixed_cand = None  # paired_fixed / rules candidate set is constant
-
-    for rnd in range(cfg.rounds):
-        times: dict[str, float] = {}
-
-        t0 = time.perf_counter()
-        matchers = _train_matcher(store, T, cfg, rnd)
-        matcher = matchers[0]  # backbone provider for single-mode embeddings
-        times["train_matcher"] = time.perf_counter() - t0
-
-        # blocker + retrieval
-        t0 = time.perf_counter()
-        if cfg.blocking in ("paired_fixed", "rules") and fixed_cand is not None:
-            cand = fixed_cand
-            times["train_committee"] = 0.0
-            times["index_retrieval"] = 0.0
-        else:
-            if cfg.blocking == "rules":
-                cand = rules_cand
-                times["train_committee"] = 0.0
-                times["index_retrieval"] = time.perf_counter() - t0
-            else:
-                r_members, s_members = _member_embeddings(
-                    spark, store, matcher, T, cfg, rnd
-                )
-                times["train_committee"] = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                cand = retrieve_cand(
-                    spark, store.r_rids, store.s_rids, r_members, s_members,
-                    k, cand_size,
-                ).cache()
-                cand.count()  # materialize under the retrieval timer
-                times["index_retrieval"] = time.perf_counter() - t0
-            if cfg.blocking in ("paired_fixed", "rules"):
-                fixed_cand = cand
-
-        # distributed matcher scoring of CAND (the "matching" half of RT)
-        t0 = time.perf_counter()
-        mp = matcher.params()
-        mp_list = [m.params() for m in matchers]
-        scored = score_pairs(spark, cand, store, mp_list, average=True).cache()
-        scored.count()
-        times["match_cand"] = time.perf_counter() - t0
-
-        # evaluation (§4.1)
-        cand_rec = blocker_recall(cand, ds.dups)
-        ap = all_pairs_prf(scored, ds.dups)
-        scored_test = score_pairs(spark, ds.test, store, mp_list, average=True)
-        tp = test_prf(ds.test, cand, scored_test, threshold=0.5)
-
-        # selection
-        t0 = time.perf_counter()
-        cand_pdf = cand.join(scored, ["rid_r", "rid_s"], "inner").toPandas()
-        labeled_keys = set(zip(T.rid_r, T.rid_s))
-        mask = [
-            (r, s) not in test_keys and (r, s) not in labeled_keys
-            for r, s in zip(cand_pdf.rid_r, cand_pdf.rid_s)
-        ]
-        selectable = cand_pdf[mask].reset_index(drop=True)
-        chosen = select(
-            cfg.selector, selectable, cfg.budget, rng,
-            spark=spark, store=store, cand_df=cand,
-            labeled=T, matcher_params=mp,
-            matcher_kwargs=dict(
-                epochs=max(5, cfg.matcher_epochs // 2),
-                batch_size=cfg.batch_size,
-            ),
+        source = given_cand(rules_cand)
+    else:
+        cand_size = _resolve_cand_size(cfg, ds)
+        k = cfg.knn_k if cfg.knn_k is not None else knn_k_for(ds.name)
+        source = CandSource(
+            lambda members: retrieve_cand(
+                spark, store.r_rids, store.s_rids, *members, k, cand_size),
+            embed=lambda T, rnd: _member_embeddings(store, learner.matchers[0], T, cfg, rnd),
+            fixed=cfg.blocking == "paired_fixed",
         )
-        times["selection"] = time.perf_counter() - t0
-
-        newly = label_pairs(chosen, dup_set)
-        T = pd.concat([T, newly], ignore_index=True).drop_duplicates(
-            ["rid_r", "rid_s"], keep="first"
-        )
-
-        result.history.append(
-            {
-                "round": rnd,
-                "n_labeled": int(len(T)),
-                "cand_recall": cand_rec,
-                "cand_size": int(cand_pdf.shape[0]),
-                "test": tp,
-                "all_pairs": ap,
-                "times": times,
-            }
-        )
-        result.timings = times
-        # RT of Table 2/10: blocking + matching time for the final verdict
-        result.final = {
-            "cand_recall": cand_rec,
-            "test": tp,
-            "all_pairs": ap,
-            "rt_seconds": times["index_retrieval"] + times["match_cand"],
-            "n_labeled": int(len(T)),
-        }
-        if cand is not fixed_cand:
-            cand.unpersist()
-        scored.unpersist()
-
-    return result
+    return _run_loop(ds, cfg, learner, source)

@@ -137,9 +137,7 @@ def select_badge(
     hidden states, then seeded with k-means++ (§2.3.4).
     """
     er, es = store.pair_embs(cand)
-    from repro.core.matcher import pair_align_features as paf  # avoid cycle at import
-
-    align = paf(store, cand)
+    align = pair_align_features(store, cand)
     p, z1 = predict_from_params(matcher_params, er, es, align)
     yhat = (p > 0.5).astype(float)
     g = (p - yhat)[:, None] * np.concatenate([z1, np.ones((len(p), 1))], axis=1)

@@ -44,7 +44,7 @@ TEST_SCALES = {k: 0.02 for k in BENCH_SCALES} | {"multilingual": 0.004, "abt_buy
 
 
 def prepare_multilingual(spark: SparkSession, ds, d: int, seed: int = 0,
-                         n_seed: int = 64, n_test: int = 200) -> None:
+                         n_test: int = 200) -> None:
     """§4.5 seed/test construction for the multilingual dataset.
 
     Probe a pretrained index (k=3 NN of each s over the frozen base
@@ -61,7 +61,6 @@ def prepare_multilingual(spark: SparkSession, ds, d: int, seed: int = 0,
     pdf = pd.DataFrame(pairs, columns=["rid_r", "rid_s"]).drop_duplicates()
     dup_set = ds.dup_set
     is_dup = np.array([(r, s) in dup_set for r, s in zip(pdf.rid_r, pdf.rid_s)])
-    rng = np.random.default_rng(seed + 271)
     pos = pdf[is_dup].sample(frac=1.0, random_state=seed).reset_index(drop=True)
     neg = pdf[~is_dup].sample(frac=1.0, random_state=seed).reset_index(drop=True)
     n_tp = min(n_test // 4, max(2, len(pos) // 3))
@@ -74,7 +73,6 @@ def prepare_multilingual(spark: SparkSession, ds, d: int, seed: int = 0,
     ds.test = spark.createDataFrame(test)
     ds.seed_pos_pdf = pos.iloc[n_tp:].reset_index(drop=True)
     ds.seed_neg_pdf = neg.iloc[n_tn:].reset_index(drop=True)
-    _ = rng  # rng reserved for future sampling variants
 
 
 class Runner:
@@ -98,9 +96,7 @@ class Runner:
                 ds = make_multilingual(
                     self.spark, scale=self.scales[name], seed=self.seed
                 )
-                d = self.config(name).d
-                n_seed = self.base_cfg.get("seed_pos", 24)
-                prepare_multilingual(self.spark, ds, d, seed=self.seed, n_seed=n_seed)
+                prepare_multilingual(self.spark, ds, self.config(name).d, seed=self.seed)
             else:
                 ds = make_dataset(
                     self.spark, name, scale=self.scales[name], seed=self.seed
@@ -137,20 +133,13 @@ class Runner:
         }
         return cache.config_key(resolved)
 
-    def al_result(self, name: str, **overrides) -> dict:
-        """Run (or fetch) one AL configuration; returns a plain dict."""
-        cfg = self.config(name, **overrides)
-        key = self._cache_key(name, cfg, "al")
+    def _cached_run(self, name: str, cfg: ALConfig, kind: str, run) -> dict:
+        """Fetch one AL run from the result cache, or ``run()`` it and store it."""
+        key = self._cache_key(name, cfg, kind)
         hit = cache.load(key)
         if hit is not None:
             return hit
-        res = run_al(
-            self.spark,
-            self.dataset(name),
-            cfg,
-            store=self.store(name),
-            rules_cand=self.rules(name) if cfg.blocking == "rules" else None,
-        )
+        res = run()
         out = {
             "dataset": name,
             "config": res.config,
@@ -161,24 +150,25 @@ class Runner:
         cache.store(key, out)
         return out
 
+    def al_result(self, name: str, **overrides) -> dict:
+        """Run (or fetch) one AL configuration; returns a plain dict."""
+        cfg = self.config(name, **overrides)
+
+        def run():
+            rules = self.rules(name) if cfg.blocking == "rules" else None
+            return run_al(self.spark, self.dataset(name), cfg, store=self.store(name),
+                          rules_cand=rules)
+
+        return self._cached_run(name, cfg, "al", run)
+
     def rf_result(self, name: str) -> dict:
         cfg = self.config(name)
-        key = self._cache_key(name, cfg, "rf_qbc")
-        hit = cache.load(key)
-        if hit is not None:
-            return hit
-        res = run_rf_qbc(
-            self.spark, self.dataset(name), cfg, self.rules(name), store=self.store(name)
-        )
-        out = {
-            "dataset": name,
-            "config": res.config,
-            "history": res.history,
-            "final": res.final,
-            "timings": res.timings,
-        }
-        cache.store(key, out)
-        return out
+
+        def run():
+            return run_rf_qbc(self.spark, self.dataset(name), cfg, self.rules(name),
+                              store=self.store(name))
+
+        return self._cached_run(name, cfg, "rf_qbc", run)
 
     def jedai_result(self, name: str, workflow: str) -> dict:
         key = cache.config_key(

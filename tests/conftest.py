@@ -5,12 +5,18 @@ The session ``spark`` fixture comes from the repo-root conftest.
 import numpy as np
 import pytest
 
+from repro.exp import cache
 from repro.exp.runner import Runner
 
 
 @pytest.fixture(scope="session")
-def runner(spark) -> Runner:
-    return Runner(spark, profile="test")
+def runner(spark, tmp_path_factory) -> Runner:
+    """Test-profile runner whose result cache is an empty session
+    directory, so each AL configuration the tests request runs cold
+    once per session (``benchmarks/`` keeps ``.bench_cache/``)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cache, "CACHE_DIR", tmp_path_factory.mktemp("al_cache"))
+        yield Runner(spark, profile="test")
 
 
 @pytest.fixture(scope="session")

@@ -52,3 +52,14 @@ def test_score_forest_distributed_matches_driver(spark, runner, wa, wa_store):
     for j, (r, s) in enumerate(zip(pairs.rid_r, pairs.rid_s)):
         np.testing.assert_allclose(got.prob.loc[(r, s)], want_p[j], atol=1e-9)
         np.testing.assert_allclose(got.variance.loc[(r, s)], want_v[j], atol=1e-9)
+
+
+def test_rf_qbc_keeps_the_callers_rules_cand_cached(spark, runner, wa, wa_store):
+    """The Rules CAND that Runner caches and shares with ``rules`` runs
+    must stay cached after an RF-QBC run over it."""
+    from repro.core.baselines import run_rf_qbc
+
+    rc = runner.rules("walmart_amazon")
+    res = run_rf_qbc(spark, wa, runner.config("walmart_amazon", rounds=1), rc, store=wa_store)
+    assert rc.is_cached
+    assert res.history[0]["cand_size"] == rc.count()

@@ -114,3 +114,54 @@ def test_deterministic_given_seed(spark, runner, wa):
     b = run_al(spark, wa, cfg, store=runner.store("walmart_amazon"))
     assert a.final["cand_recall"] == b.final["cand_recall"]
     assert a.final["all_pairs"] == b.final["all_pairs"]
+
+
+def _grid_dataset(n: int, dups: set):
+    """n×n records, no seed negatives: forces the random-pair fallback."""
+    import pandas as pd
+    from types import SimpleNamespace
+
+    pos = pd.DataFrame(sorted(dups), columns=["rid_r", "rid_s"])
+    return SimpleNamespace(
+        r_pdf=pd.DataFrame({"rid": [f"r{i}" for i in range(n)]}),
+        s_pdf=pd.DataFrame({"rid": [f"s{i}" for i in range(n)]}),
+        seed_pos_pdf=pos, seed_neg_pdf=pos.head(0), dup_set=dups,
+    )
+
+
+def test_seed_negative_fallback_draws_distinct_non_duplicates():
+    from repro.core.dial import _seed_labeled
+
+    ds = _grid_dataset(3, {("r0", "s0")})
+    T = _seed_labeled(ds, ALConfig(seed_pos=1, seed_neg=8), np.random.default_rng(0))
+    neg = set(zip(T[T.label == 0].rid_r, T[T.label == 0].rid_s))
+    assert (T.label == 0).sum() == 8
+    assert neg == {(f"r{i}", f"s{j}") for i in range(3) for j in range(3)} - ds.dup_set
+
+
+def test_seed_negative_fallback_raises_when_too_few_pairs():
+    from repro.core.dial import _seed_labeled
+
+    ds = _grid_dataset(3, {("r0", "s0")})
+    with pytest.raises(ValueError):
+        _seed_labeled(ds, ALConfig(seed_pos=1, seed_neg=9), np.random.default_rng(0))
+
+
+def test_cand_source_unpersists_only_what_it_cached(spark):
+    from repro.core.dial import CandSource, given_cand
+
+    handed_in = spark.range(3).cache()
+    src = given_cand(handed_in)
+    times = {}
+    assert src(None, 0, times) is handed_in and times["train_committee"] == 0.0
+    assert src(None, 1, times) is handed_in and times["index_retrieval"] == 0.0
+    src.close()
+    assert handed_in.is_cached
+
+    frames = iter([spark.range(3), spark.range(4)])
+    src = CandSource(lambda _: next(frames), fixed=False)
+    first = src(None, 0, {})
+    second = src(None, 1, {})
+    assert second is not first and not first.is_cached and second.is_cached
+    src.close()
+    assert not second.is_cached
