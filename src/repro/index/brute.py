@@ -1,16 +1,12 @@
-"""Exact k-NN retrieval: distributed (Spark) and driver (numpy) paths.
+"""Exact k-NN kernel: squared-L2 top-k of each query row, in numpy.
 
-The index side (all of list R, per committee member) is a few thousand
-x d floats → broadcast. The query side (list S) is a Spark DataFrame of
-(qid, emb) rows; ``mapInPandas`` computes squared-L2 top-k per Arrow
-batch. Exactness makes the DuckDB/numpy oracle checks in tests strict.
+``repro.core.ibc.retrieve_cand`` runs it inside one Spark job over
+partitioned queries for every committee member, against broadcast index
+matrices. Exactness makes the DuckDB/numpy oracle checks in tests strict.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import types as T
 
 
 def _sq_dists(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -23,64 +19,11 @@ def _sq_dists(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def knn_numpy(Q: np.ndarray, X: np.ndarray, k: int):
-    """Driver-side exact top-k: returns (idx (n_q,k), dist (n_q,k))."""
+    """Exact top-k of each row of Q among the rows of X: returns
+    (idx (n_q,k), dist (n_q,k)), nearest first."""
     k = min(k, X.shape[0])
     d = _sq_dists(Q, X)
     idx = np.argpartition(d, k - 1, axis=1)[:, :k]
     dd = np.take_along_axis(d, idx, axis=1)
     order = np.argsort(dd, axis=1, kind="stable")
     return np.take_along_axis(idx, order, axis=1), np.take_along_axis(dd, order, axis=1)
-
-
-_KNN_SCHEMA = T.StructType(
-    [
-        T.StructField("qid", T.StringType()),
-        T.StructField("iid", T.StringType()),
-        T.StructField("dist", T.DoubleType()),
-    ]
-)
-
-
-def knn_join(
-    spark: SparkSession,
-    query_ids: np.ndarray,
-    query_emb: np.ndarray,
-    index_ids: np.ndarray,
-    index_emb: np.ndarray,
-    k: int,
-    num_partitions: int | None = None,
-) -> DataFrame:
-    """Distributed exact k-NN: one output row per (query, neighbour).
-
-    Queries are parallelized as a Spark DataFrame; the index matrix and
-    ids ride a broadcast variable. Returns DataFrame(qid, iid, dist)
-    with ``dist`` = squared L2 (the paper retrieves by L2, §4.2).
-    """
-    sc = spark.sparkContext
-    b = sc.broadcast((np.ascontiguousarray(index_emb), list(index_ids), int(k)))
-
-    cols = {"qid": list(query_ids)}
-    cols.update({f"e{j}": query_emb[:, j] for j in range(query_emb.shape[1])})
-    qpdf = pd.DataFrame(cols)
-    n_part = num_partitions or max(2, min(16, len(qpdf) // 64 or 2))
-    qdf = spark.createDataFrame(qpdf).repartition(n_part)
-
-    emb_cols = [f"e{j}" for j in range(query_emb.shape[1])]
-
-    def part(batches):
-        X, ids, kk = b.value
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            Q = pdf[emb_cols].to_numpy(dtype=np.float64)
-            idx, dist = knn_numpy(Q, X, kk)
-            n_q, kr = idx.shape
-            yield pd.DataFrame(
-                {
-                    "qid": np.repeat(pdf["qid"].to_numpy(), kr),
-                    "iid": np.asarray(ids, dtype=object)[idx.ravel()],
-                    "dist": dist.ravel(),
-                }
-            )
-
-    return qdf.mapInPandas(part, schema=_KNN_SCHEMA)

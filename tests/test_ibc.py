@@ -1,9 +1,12 @@
 """Index-By-Committee retrieval (Algorithm 1 lines 9-25)."""
+import uuid
+
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.ibc import cand_size_for, knn_k_for, l2_normalize, retrieve_cand
+from repro.index.brute import knn_numpy
 from repro.oracle import assert_equivalent
 
 
@@ -99,6 +102,99 @@ def test_retrieval_dedup_oracle(spark):
         "SELECT rid_r, rid_s, dist FROM single",
         single=single,
     )
+
+
+def _pairs(pdf):
+    return list(zip(pdf.rid_r, pdf.rid_s))
+
+
+def test_k_larger_than_r_is_clamped_without_duplicates(spark):
+    r_rids, s_rids, r_emb, s_emb = _toy_embs(5, n_r=3, n_s=5, d=4)
+    r2, s2 = r_emb[::-1].copy(), s_emb + 0.5
+    pdf = retrieve_cand(
+        spark, r_rids, s_rids, [r_emb, r2], [s_emb, s2], k=10, cand_size=1_000
+    ).toPandas()
+    # every member retrieves all |R| neighbours of every query: the
+    # union is the full cross product, each pair once
+    assert not pdf.duplicated(["rid_r", "rid_s"]).any()
+    assert set(_pairs(pdf)) == {(r, s) for r in r_rids for s in s_rids}
+
+
+def test_budget_above_retrieved_returns_every_distinct_pair(spark):
+    """N·k·|S| < cand_size: CAND is exactly the union of the members'
+    k-NN lists, with each pair's smallest distance."""
+    r_rids, s_rids, r_emb, s_emb = _toy_embs(6, n_r=20, n_s=12, d=4)
+    rng = np.random.default_rng(7)
+    members = [(r_emb, s_emb), (r_emb + rng.standard_normal(r_emb.shape), s_emb)]
+    want: dict[tuple[str, str], float] = {}
+    for r_m, s_m in members:
+        idx, dist = knn_numpy(s_m, r_m, 2)
+        for q in range(len(s_rids)):
+            for i, d in zip(idx[q], dist[q]):
+                key = (r_rids[i], s_rids[q])
+                want[key] = min(want.get(key, np.inf), d)
+    assert 2 * 2 * len(s_rids) < 500  # N·k·|S| below the budget
+    pdf = retrieve_cand(
+        spark, r_rids, s_rids, [m[0] for m in members], [m[1] for m in members],
+        k=2, cand_size=500,
+    ).toPandas()
+    assert len(pdf) == len(want)
+    got = dict(zip(_pairs(pdf), pdf.dist))
+    assert got.keys() == want.keys()
+    np.testing.assert_allclose([got[p] for p in want], list(want.values()), atol=1e-12)
+
+
+def test_zero_budget_is_empty_with_the_cand_schema(spark):
+    r_rids, s_rids, r_emb, s_emb = _toy_embs(8, n_r=6, n_s=4, d=3)
+    cand = retrieve_cand(spark, r_rids, s_rids, [r_emb], [s_emb], k=2, cand_size=0)
+    assert [(f.name, f.dataType.simpleString()) for f in cand.schema.fields] == [
+        ("rid_r", "string"), ("rid_s", "string"), ("dist", "double"),
+    ]
+    assert cand.count() == 0
+
+
+def test_distance_tie_goes_to_the_rid_first_in_string_order(spark):
+    # "r10" < "r2" as strings although r2 is the first row of R
+    r_emb = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
+    s_emb = np.array([[1.0, 0.0]])
+    cand = retrieve_cand(
+        spark, ["r2", "r10", "r3"], ["s0"], [r_emb], [s_emb], k=2, cand_size=1
+    ).collect()
+    assert [(row.rid_r, row.rid_s) for row in cand] == [("r10", "s0")]
+
+
+def _stages_started(spark, fn) -> int:
+    """Spark stages of the jobs ``fn`` starts, from ``statusTracker``."""
+    sc = spark.sparkContext
+    group = f"test-ibc-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, "retrieve_cand stage count")
+    try:
+        fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    # the status store is fed by Spark's asynchronous listener bus
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    tracker = sc.statusTracker()
+    return sum(
+        len(tracker.getJobInfo(j).stageIds) for j in tracker.getJobIdsForGroup(group)
+    )
+
+
+def test_retrieval_stages_do_not_grow_with_committee_size(spark):
+    r_rids, s_rids, r_emb, s_emb = _toy_embs(9, n_r=40, n_s=150, d=6)
+    rng = np.random.default_rng(10)
+    r_m = [r_emb + 0.1 * i * rng.standard_normal(r_emb.shape) for i in range(4)]
+    s_m = [s_emb] * 4
+
+    def stages(n):
+        return _stages_started(
+            spark,
+            lambda: retrieve_cand(spark, r_rids, s_rids, r_m[:n], s_m[:n], 3, 300).collect(),
+        )
+
+    one, four = stages(1), stages(4)
+    assert one > 0
+    assert four == one
 
 
 def test_cand_size_rules():

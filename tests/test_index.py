@@ -2,8 +2,10 @@
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
-from repro.index.brute import knn_join, knn_numpy, _sq_dists
+from repro.core.ibc import retrieve_cand
+from repro.index.brute import knn_numpy, _sq_dists
 from repro.index.kmeans import kmeans_pp_indices
 from repro.oracle import assert_equivalent
 
@@ -40,33 +42,38 @@ def test_knn_numpy_k_larger_than_index():
     assert idx.shape == (3, 2)
 
 
-def test_knn_join_matches_numpy(spark):
+def _all_top_k(spark, qids, q, xids, x, k):
+    """Single-member retrieval with a budget of k·|S|: every query's
+    top-k, as (rid_r, rid_s, dist)."""
+    return retrieve_cand(spark, list(xids), list(qids), [x], [q], k, k * len(qids))
+
+
+def test_retrieve_cand_matches_numpy(spark):
     rng = np.random.default_rng(3)
     q = rng.standard_normal((40, 8))
     x = rng.standard_normal((25, 8))
     qids = np.array([f"q{i}" for i in range(40)])
     xids = np.array([f"x{i}" for i in range(25)])
-    got = knn_join(spark, qids, q, xids, x, 3).toPandas()
+    got = _all_top_k(spark, qids, q, xids, x, 3).toPandas()
     assert len(got) == 40 * 3
     idx, dist = knn_numpy(q, x, 3)
-    want = {
-        (f"q{i}",): sorted(dist[i].round(9)) for i in range(40)
-    }
-    for qid, grp in got.groupby("qid"):
+    for qid, grp in got.groupby("rid_s"):
         i = int(qid[1:])
         np.testing.assert_allclose(
             sorted(grp.dist.values), sorted(dist[i]), atol=1e-9
         )
 
 
-def test_knn_join_oracle(spark):
+def test_retrieve_cand_oracle(spark):
     """Distributed top-k agrees with a DuckDB window-function query."""
     rng = np.random.default_rng(4)
     q = rng.standard_normal((15, 3))
     x = rng.standard_normal((10, 3))
     qids = np.array([f"q{i}" for i in range(15)])
     xids = np.array([f"x{i}" for i in range(10)])
-    got = knn_join(spark, qids, q, xids, x, 2).select("qid", "dist")
+    got = _all_top_k(spark, qids, q, xids, x, 2).select(
+        F.col("rid_s").alias("qid"), "dist"
+    )
     qpdf = pd.DataFrame({"qid": qids, "a": q[:, 0], "b": q[:, 1], "c": q[:, 2]})
     xpdf = pd.DataFrame({"iid": xids, "a": x[:, 0], "b": x[:, 1], "c": x[:, 2]})
     assert_equivalent(
@@ -85,14 +92,14 @@ def test_knn_join_oracle(spark):
     )
 
 
-def test_knn_join_deterministic(spark):
+def test_retrieve_cand_deterministic(spark):
     rng = np.random.default_rng(5)
     q = rng.standard_normal((12, 4))
     x = rng.standard_normal((9, 4))
     qids = np.array([f"q{i}" for i in range(12)])
     xids = np.array([f"x{i}" for i in range(9)])
-    a = knn_join(spark, qids, q, xids, x, 3).toPandas().sort_values(["qid", "iid"]).reset_index(drop=True)
-    b = knn_join(spark, qids, q, xids, x, 3).toPandas().sort_values(["qid", "iid"]).reset_index(drop=True)
+    a = _all_top_k(spark, qids, q, xids, x, 3).toPandas().sort_values(["rid_s", "rid_r"]).reset_index(drop=True)
+    b = _all_top_k(spark, qids, q, xids, x, 3).toPandas().sort_values(["rid_s", "rid_r"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)
 
 
